@@ -25,7 +25,7 @@ through :func:`repro.core.run.run`.
 """
 
 import argparse
-import json
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -33,12 +33,28 @@ from repro.analytics.economics import Tariffs, deployment_benefit_eur, price_sea
 from repro.core.pilot import PilotReport
 from repro.core.pilots import PILOT_BUILDERS
 from repro.core.checkpoint import CheckpointError
-from repro.core.run import RunOptions, run
+from repro.core.run import SECURITY_FLAGS, RunOptions, run
 from repro.core.security_profile import SecurityConfig
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.resilience import ResilienceConfig
+from repro.store.segment import StoreError
 
-SECURITY_FLAGS = ("auth", "encryption", "detection", "ledger", "command_rhythm")
+#: Flag defaults come from the options object, so the two cannot drift.
+_RUN_DEFAULTS = RunOptions()
+
+#: Subcommand-specific flags (argparse dest → RunOptions field); a
+#: subcommand without the flag leaves the field at its default.
+_SUBCOMMAND_FLAGS = {
+    "checkpoint": "checkpoint",
+    "checkpoint_every": "checkpoint_every_s",
+    "restore": "restore",
+    "store": "store_dir",
+    "store_flush": "store_flush_s",
+    "store_segment_bytes": "store_segment_bytes",
+    "store_compact": "store_compact_s",
+    "store_retention_age": "store_retention_age_s",
+    "store_retention_bytes": "store_retention_bytes",
+}
 
 # Pilot-specific factory kwargs applied by ``compare``: the full-size
 # MATOPIBA grid at the default probe cadence is too slow for a paired
@@ -84,19 +100,29 @@ def _options_from_args(
         trace=args.trace is not None,
         profile=args.profile_top is not None,
         profile_top=args.profile_top if args.profile_top is not None else 10,
+        metrics_path=args.metrics,
+        trace_path=args.trace,
         scheduler_kind=scheduler_kind,
         pilot_kwargs=dict(pilot_kwargs or {}),
-        checkpoint=getattr(args, "checkpoint", None),
-        checkpoint_every_s=getattr(args, "checkpoint_every", None),
-        restore=getattr(args, "restore", None),
-        store_dir=getattr(args, "store", None),
-        store_flush_s=getattr(args, "store_flush", None) or 60.0,
-        store_segment_bytes=(getattr(args, "store_segment_bytes", None)
-                             or 4 * 1024 * 1024),
-        store_compact_s=getattr(args, "store_compact", None),
-        store_retention_age_s=getattr(args, "store_retention_age", None),
-        store_retention_bytes=getattr(args, "store_retention_bytes", None),
+        **{field: getattr(args, dest)
+           for dest, field in _SUBCOMMAND_FLAGS.items() if hasattr(args, dest)},
     )
+
+
+def _run(options: RunOptions):
+    """:func:`run`, with its expected failures turned into ``SystemExit``."""
+    try:
+        return run(options)
+    except (CheckpointError, StoreError) as exc:
+        raise SystemExit(str(exc))
+    except OSError as exc:
+        if exc.filename is not None and exc.filename == options.trace_path:
+            raise SystemExit(f"cannot write trace to {options.trace_path!r}: {exc}")
+        if exc.filename is not None and exc.filename == options.metrics_path:
+            raise SystemExit(
+                f"cannot write metrics snapshot to {options.metrics_path!r}: {exc}"
+            )
+        raise
 
 
 def _print_report(report: PilotReport, out) -> None:
@@ -158,29 +184,17 @@ def _print_metrics_summary(runner, out) -> None:
         )
 
 
-def _write_run_artifacts(args, runner, out) -> None:
-    """Profiler summary, Chrome-trace export and metrics snapshot."""
+def _print_run_artifacts(args, runner, out) -> None:
+    """Profiler summary, and where :func:`run` wrote the trace/metrics files."""
     if runner.profiler is not None:
         for line in runner.profiler.summary_lines(args.profile_top):
             print(line, file=out)
     if args.trace:
-        try:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(runner.tracer.chrome_trace(), fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write trace to {args.trace!r}: {exc}")
         print(
             f"trace written to {args.trace} ({len(runner.tracer.spans())} spans)",
             file=out,
         )
     if args.metrics:
-        try:
-            with open(args.metrics, "w", encoding="utf-8") as fh:
-                fh.write(runner.sim.metrics.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write metrics snapshot to {args.metrics!r}: {exc}")
         print(f"metrics snapshot written to {args.metrics}", file=out)
 
 
@@ -188,10 +202,7 @@ def cmd_run(args, out) -> int:
     if args.checkpoint is not None and args.restore is not None:
         raise SystemExit("--checkpoint and --restore are mutually exclusive")
     options = _options_from_args(args)
-    try:
-        result = run(options)
-    except CheckpointError as exc:
-        raise SystemExit(str(exc))
+    result = _run(options)
     runner = result.runner
     if args.restore is not None:
         print(f"restored from {args.restore}", file=out)
@@ -227,7 +238,7 @@ def cmd_run(args, out) -> int:
                 f"{compaction['dropped_chunks']} chunks dropped by retention)",
                 file=out,
             )
-    _write_run_artifacts(args, runner, out)
+    _print_run_artifacts(args, runner, out)
     return 0
 
 
@@ -235,9 +246,11 @@ def cmd_compare(args, out) -> int:
     preset = COMPARE_PRESETS.get(args.pilot, {})
     results = {}
     for kind in ("smart", "fixed"):
-        results[kind] = run(
-            _options_from_args(args, scheduler_kind=kind, pilot_kwargs=preset)
-        )
+        options = _options_from_args(args, scheduler_kind=kind, pilot_kwargs=preset)
+        if kind != "smart":
+            # Only the smart arm writes the trace/metrics files.
+            options = dataclasses.replace(options, trace_path=None, metrics_path=None)
+        results[kind] = _run(options)
     smart = results["smart"].report
     fixed = results["fixed"].report
     for report in (fixed, smart):
@@ -257,7 +270,7 @@ def cmd_compare(args, out) -> int:
     print(f"season benefit (margin): EUR {benefit:,.0f}", file=out)
     # The smart arm carries the shared artifact flags (trace, profile,
     # metrics snapshot) so an A/B run can also be inspected span by span.
-    _write_run_artifacts(args, results["smart"].runner, out)
+    _print_run_artifacts(args, results["smart"].runner, out)
     return 0
 
 
@@ -294,7 +307,7 @@ def cmd_serve(args, out) -> int:
               f"({len(trace.requests)} requests)", file=out)
     options.serve_trace = trace
     options.serve_responses = args.responses
-    result = run(options)
+    result = _run(options)
     service = result.service
     report = service.report()
     print(f"--- service: {trace.name} ({len(trace.requests)} requests, "
@@ -323,7 +336,7 @@ def cmd_serve(args, out) -> int:
     if args.responses:
         print(f"response log written to {args.responses}", file=out)
     print(f"response digest: {report['digest']}", file=out)
-    _write_run_artifacts(args, result.runner, out)
+    _print_run_artifacts(args, result.runner, out)
     return 0
 
 
@@ -403,13 +416,14 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
                         help="write history through a durable segment store "
                              "under DIR (crash-recoverable)")
     parser.add_argument("--store-flush", dest="store_flush", type=float,
-                        default=60.0, metavar="SECS",
+                        default=_RUN_DEFAULTS.store_flush_s, metavar="SECS",
                         help="fsync-barrier interval of the durable store "
-                             "in sim-seconds (default 60)")
+                             "in sim-seconds (default %(default)g)")
     parser.add_argument("--store-segment-bytes", dest="store_segment_bytes",
-                        type=int, default=None, metavar="N",
+                        type=int, default=_RUN_DEFAULTS.store_segment_bytes,
+                        metavar="N",
                         help="WAL segment rotation threshold in bytes "
-                             "(default 4 MiB)")
+                             "(default %(default)d)")
     parser.add_argument("--store-compact", dest="store_compact", type=float,
                         default=None, metavar="SECS",
                         help="compact sealed WAL segments into columnar "

@@ -5,9 +5,7 @@ hook and records every numeric attribute change as a (time, value) sample.
 All query shapes STH exposes — raw range, last-N, bucketed rollups and
 min/max/mean/sum/count aggregates — are served through **one typed read
 API**: build a :class:`HistoryQuery`, call :meth:`ShortTermHistory.read`,
-get a :class:`HistoryResult` back.  The legacy per-shape methods
-(``series``/``last_n``/``range``/``aggregate``/``rollup``/``downsample``)
-remain as warn-once deprecation shims for one cycle.
+get a :class:`HistoryResult` back.
 
 Series are bounded per (entity, attribute) to keep multi-season runs in
 memory; eviction drops the oldest samples.
@@ -35,7 +33,6 @@ memory, and reach beyond the ring eviction horizon.  ``source="memory"``
 or ``"columnar"`` forces a path.
 """
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -55,21 +52,6 @@ ROLLUP_METHODS = ("count", "min", "max", "sum", "mean")
 
 #: Query kinds a :class:`HistoryQuery` can resolve to.
 QUERY_KINDS = ("raw", "lastn", "rollup", "aggregate")
-
-# Names that already emitted their deprecation warning this process.
-_DEPRECATION_WARNED = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 @dataclass(frozen=True)
 class HistoryQuery:
@@ -200,11 +182,6 @@ class ShortTermHistory:
         ``on_sample(entity_id, attr, t, v)`` method — in practice a
         :class:`~repro.store.durable.DurabilityService`)."""
         self._sink = sink
-
-    def attach_store(self, store) -> None:
-        """Deprecated alias of :meth:`set_sink`."""
-        _warn_deprecated("ShortTermHistory.attach_store", "set_sink")
-        self.set_sink(store)
 
     def bind_columnar(self, reader) -> None:
         """Route ``source="auto"`` reads through ``reader`` (anything
@@ -379,73 +356,6 @@ class ShortTermHistory:
                 value = vsum / count
             result.rows.append((start, value))
         return result
-
-    # -- deprecated per-shape read methods -----------------------------------
-
-    def rollup(
-        self,
-        entity_id: str,
-        attr: str,
-        period_s: float,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-        method: str = "mean",
-    ) -> List[Tuple[float, float]]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated("ShortTermHistory.rollup", "read(HistoryQuery(period_s=...))")
-        query = HistoryQuery(entity_id, attr, since=since, until=until,
-                             period_s=period_s, method=method)
-        return self.read(query, source="memory").rows
-
-    def downsample(
-        self,
-        entity_id: str,
-        attr: str,
-        period_s: float,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> List[Tuple[float, float]]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated(
-            "ShortTermHistory.downsample",
-            "read(HistoryQuery(period_s=..., method='mean'))",
-        )
-        query = HistoryQuery(entity_id, attr, since=since, until=until,
-                             period_s=period_s, method="mean")
-        return self.read(query, source="memory").rows
-
-    def series(self, entity_id: str, attr: str) -> List[Sample]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated("ShortTermHistory.series", "read(HistoryQuery(...))")
-        return self.read(HistoryQuery(entity_id, attr), source="memory").rows
-
-    def last_n(self, entity_id: str, attr: str, n: int) -> List[Sample]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated("ShortTermHistory.last_n", "read(HistoryQuery(last_n=...))")
-        query = HistoryQuery(entity_id, attr, last_n=n)
-        return self.read(query, source="memory").rows
-
-    def range(
-        self, entity_id: str, attr: str, since: float = float("-inf"), until: float = float("inf")
-    ) -> List[Sample]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated("ShortTermHistory.range", "read(HistoryQuery(since=..., until=...))")
-        query = HistoryQuery(entity_id, attr, since=since, until=until)
-        return self.read(query, source="memory").rows
-
-    def aggregate(
-        self,
-        entity_id: str,
-        attr: str,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> Optional[Dict[str, float]]:
-        """Deprecated: build a :class:`HistoryQuery` and call :meth:`read`."""
-        _warn_deprecated(
-            "ShortTermHistory.aggregate", "read(HistoryQuery(aggregate=True))"
-        )
-        query = HistoryQuery(entity_id, attr, since=since, until=until, aggregate=True)
-        return self.read(query, source="memory").stats
 
     def tracked_series(self) -> List[Tuple[str, str]]:
         return sorted(self._series)

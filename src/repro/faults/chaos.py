@@ -38,14 +38,13 @@ level (core's stages import :mod:`repro.faults`); the pilot-builder
 helper resolves core lazily.
 """
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.simkernel.clock import DAY, HOUR
+from repro.simkernel.digest import canonical_sha256
 
 __all__ = [
     "ChaosPlanGenerator",
@@ -501,8 +500,7 @@ def _fingerprint(runner, plan: FaultPlan, report) -> str:
             runner.degraded_mode.episodes if runner.degraded_mode else 0
         ),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return canonical_sha256(payload, default=repr)
 
 
 def run_chaos(

@@ -12,8 +12,6 @@ workers, in-process or multiprocessing.
 """
 
 import dataclasses
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List
@@ -26,6 +24,7 @@ from repro.fleet.shard import (
     make_tasks,
     run_shard,
 )
+from repro.simkernel.digest import canonical_sha256
 
 #: Report fields averaged (not summed) in the fleet totals.
 _MEAN_FIELDS = ("relative_yield",)
@@ -108,9 +107,7 @@ def fleet_fingerprint(report: FleetReport) -> str:
     asserts *simulation* state, which must not depend on how the shards
     were scheduled onto hardware.
     """
-    canonical = json.dumps(dataclasses.asdict(report), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_sha256(dataclasses.asdict(report))
 
 
 def _run_inprocess(tasks) -> List[ShardResult]:

@@ -7,10 +7,10 @@ the audit property the paper wants from "track all the attributes,
 relationships and events related to a device".
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.simkernel.digest import canonical_json, canonical_sha256
 
 
 class LedgerError(Exception):
@@ -28,17 +28,13 @@ class LifecycleEvent:
     data: Dict[str, Any] = field(default_factory=dict)
 
     def canonical(self) -> str:
-        return json.dumps(
-            {
-                "device_id": self.device_id,
-                "event": self.event,
-                "actor": self.actor,
-                "time": self.time,
-                "data": self.data,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({
+            "device_id": self.device_id,
+            "event": self.event,
+            "actor": self.actor,
+            "time": self.time,
+            "data": self.data,
+        })
 
 
 @dataclass
@@ -51,18 +47,13 @@ class Block:
     block_hash: str = ""
 
     def compute_hash(self) -> str:
-        body = json.dumps(
-            {
-                "index": self.index,
-                "previous_hash": self.previous_hash,
-                "validator": self.validator,
-                "time": self.time,
-                "transactions": [tx.canonical() for tx in self.transactions],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return canonical_sha256({
+            "index": self.index,
+            "previous_hash": self.previous_hash,
+            "validator": self.validator,
+            "time": self.time,
+            "transactions": [tx.canonical() for tx in self.transactions],
+        })
 
 
 class Blockchain:

@@ -20,6 +20,15 @@ Request lifecycle (``submit``):
    backlog (queued mode); cacheable reads consult the response cache;
    handler errors translate through :mod:`repro.service.errors`.
 
+Tenant isolation also carries the multi-farm cloud tier: a cloud broker
+fed by each farm's replicator with one service in front, each farm a
+tenant whose namespace is ``urn:<Type>:<farm>:``.  Data
+leaves a farm's namespace only through the regional release
+(``GET /v2/op/release?type=...&attrs=...``): a k-anonymized dataset
+over every entity of a type, authorized as a read of the synthetic
+resource ``urn:Region:<type>`` — only tenants whose namespace covers
+``urn:Region:`` (analysts, platform operators) may pull it.
+
 Every request ends as one *record* — ``(seq, tenant, method, path,
 at_s, done_s, status, cache, body)`` — and the canonical JSON response
 log over those records is the bit-identity artifact: same seed + same
@@ -27,8 +36,6 @@ trace ⇒ byte-identical log (E19 asserts this; wall-clock timings are
 reported separately and never enter the log).
 """
 
-import hashlib
-import json
 import re
 import time
 from dataclasses import dataclass, field
@@ -41,6 +48,7 @@ from repro.context.errors import NotFoundError, QueryError
 from repro.context.history import HOUR_S, MINUTE_S, HistoryQuery, ShortTermHistory
 from repro.context.query import parse_filter_expression
 from repro.context.subscriptions import Subscription
+from repro.security.anonymization import Anonymizer
 from repro.security.auth.oauth import OAuthError
 from repro.security.auth.pdp import Policy
 from repro.service.cache import ResponseCache
@@ -53,6 +61,7 @@ from repro.service.errors import (
 )
 from repro.service.http import Request, Response, Route, Router
 from repro.service.tenancy import Tenant, TenantSpec
+from repro.simkernel.digest import canonical_json, sha256_hex
 from repro.simkernel.errors import ReproError
 from repro.simkernel.simulator import Simulator
 
@@ -60,6 +69,21 @@ __all__ = ["NgsiService", "ServiceConfig", "attach_service", "percentile"]
 
 #: STH ``aggrPeriod`` values → rollup period seconds.
 _AGGR_PERIODS = {"minute": MINUTE_S, "hour": HOUR_S}
+
+#: The regional release: route, the synthetic resource prefix it is
+#: authorized against, its k-anonymity threshold and quasi-identifiers.
+RELEASE_PATH = "/v2/op/release"
+RELEASE_RESOURCE_PREFIX = "urn:Region:"
+RELEASE_K = 2
+RELEASE_QUASI_IDENTIFIERS = ("lat", "lon", "area_ha", "crop")
+
+_FARM_IN_URN = re.compile(r"^urn:[A-Za-z0-9_\-]+:([A-Za-z0-9_\-]+)")
+
+
+def farm_of_entity(entity_id: str) -> Optional[str]:
+    """Extract the owning farm from a platform entity id, if present."""
+    match = _FARM_IN_URN.match(entity_id)
+    return match.group(1) if match else None
 
 
 @dataclass
@@ -168,6 +192,10 @@ class NgsiService:
         #: At-least-once notification fan-out; None until
         #: :meth:`enable_delivery` opts in (keeps default runs untouched).
         self.delivery: Optional[DeliveryManager] = None
+        #: The regional release's anonymizer; salted from its own RNG
+        #: stream on the first release, so services that never serve one
+        #: draw nothing.
+        self.release_anonymizer: Optional[Anonymizer] = None
         self.records: List[Dict[str, Any]] = []
         self._seq = 0
         self._pump = None
@@ -207,6 +235,7 @@ class NgsiService:
         add("GET", "/v2/subscriptions/{sub_id}", self._h_get_sub, "ngsi.sub")
         add("DELETE", "/v2/subscriptions/{sub_id}", self._h_delete_sub, "ngsi.sub")
         add("POST", "/v2/subscriptions/{sub_id}/replay", self._h_replay_sub, "ngsi.sub")
+        add("GET", RELEASE_PATH, self._h_release, "ngsi.read")
 
     def _on_broker_write(self, entity: ContextEntity, changed: List[str]) -> None:
         self.cache.note_write(entity.entity_id)
@@ -407,6 +436,8 @@ class NgsiService:
             if not entity_id:
                 raise QueryError("entity payload must carry an 'id'")
             return entity_id
+        if route.template == RELEASE_PATH:
+            return RELEASE_RESOURCE_PREFIX + (request.param("type") or "")
         return request.path
 
     def _authorize(
@@ -610,6 +641,26 @@ class NgsiService:
         }
         return Response(200, body)
 
+    def _h_release(self, request: Request, params, tenant: Tenant) -> Response:
+        entity_type = request.param("type")
+        if not entity_type:
+            raise QueryError("release needs a 'type' parameter")
+        value_attrs = [a for a in (request.param("attrs") or "").split(",") if a]
+        if self.release_anonymizer is None:
+            salt = self.sim.rng.stream("service:release").token_bytes(16)
+            self.release_anonymizer = Anonymizer(salt, RELEASE_QUASI_IDENTIFIERS)
+        records = []
+        for entity in self.broker.query(entity_type=entity_type):
+            record: Dict[str, Any] = {
+                "farm": farm_of_entity(entity.entity_id) or entity.entity_id
+            }
+            for name in RELEASE_QUASI_IDENTIFIERS + tuple(value_attrs):
+                value = entity.get(name)
+                if value is not None:
+                    record[name] = value
+            records.append(record)
+        return Response(200, self.release_anonymizer.anonymize(records, k=RELEASE_K))
+
     # -- subscription handlers ----------------------------------------------
 
     def _render_subscription(self, sub: Subscription) -> Dict[str, Any]:
@@ -709,13 +760,10 @@ class NgsiService:
 
     def response_log(self) -> str:
         """Canonical JSON-lines log of every record (the bit-identity artifact)."""
-        return "\n".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in self.records
-        )
+        return "\n".join(canonical_json(record) for record in self.records)
 
     def response_log_digest(self) -> str:
-        return hashlib.sha256(self.response_log().encode("utf-8")).hexdigest()
+        return sha256_hex(self.response_log())
 
     def report(self) -> Dict[str, Any]:
         by_status: Dict[int, int] = {}

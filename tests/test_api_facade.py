@@ -1,5 +1,7 @@
 """The ``repro.api`` façade: stable names, docs lockstep, deprecations."""
 
+import importlib
+
 import pytest
 
 import repro.api as api
@@ -11,7 +13,14 @@ from repro.api import (
     PilotConfig,
     ReproError,
     RunOptions,
+    ShortTermHistory,
     run,
+)
+
+#: The per-shape history reads and the sink alias that finished their
+#: deprecation cycle (``read(HistoryQuery(...))`` / ``set_sink`` replace them).
+REMOVED_HISTORY_SHIMS = (
+    "aggregate", "attach_store", "downsample", "last_n", "range", "rollup", "series",
 )
 
 
@@ -67,7 +76,7 @@ class TestFacadeSurface:
 
 
 class TestCompletedDeprecations:
-    """The run_pilot/run_chaos shims and string filters finished their cycle."""
+    """Shims, string filters and duplicate modules that finished their cycle."""
 
     def test_legacy_run_entrypoints_are_gone(self):
         for name in ("run_pilot", "run_chaos"):
@@ -94,6 +103,15 @@ class TestCompletedDeprecations:
 
         parsed = parse_filter_expression("soilMoisture<0.2")
         assert (parsed.attr, parsed.op, parsed.value) == ("soilMoisture", "<", 0.2)
+
+    @pytest.mark.parametrize("name", REMOVED_HISTORY_SHIMS)
+    def test_history_shim_is_gone(self, name):
+        assert not hasattr(ShortTermHistory, name), name
+
+    def test_federation_module_is_gone(self):
+        # Tenant isolation and the regional release live on NgsiService.
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.federation")
 
 
 class TestServiceFacade:

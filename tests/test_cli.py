@@ -114,3 +114,50 @@ class TestCommands:
         }
         assert len(active & {"simkernel", "mqtt", "context", "fog",
                              "scheduler", "security", "iota"}) >= 5
+
+
+class TestStoreFlags:
+    """Store flags reach the store unchanged; bad values exit cleanly."""
+
+    def test_defaults_come_from_run_options(self):
+        from repro.cli import _options_from_args
+        from repro.core.run import RunOptions
+
+        options = _options_from_args(build_parser().parse_args(["run", "matopiba"]))
+        defaults = RunOptions()
+        assert options.store_flush_s == defaults.store_flush_s
+        assert options.store_segment_bytes == defaults.store_segment_bytes
+
+    def test_zero_values_are_not_replaced(self):
+        from repro.cli import _options_from_args
+
+        args = build_parser().parse_args(
+            ["run", "matopiba", "--store-flush", "0", "--store-segment-bytes", "0"])
+        options = _options_from_args(args)
+        assert options.store_flush_s == 0.0
+        assert options.store_segment_bytes == 0
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--store-flush", "0", "flush_interval_s must be positive, got 0"),
+        ("--store-flush", "-1", "flush_interval_s must be positive, got -1"),
+        ("--store-segment-bytes", "0", "max_segment_bytes must be positive, got 0"),
+        ("--store-segment-bytes", "-5", "max_segment_bytes must be positive, got -5"),
+    ])
+    def test_non_positive_values_exit_with_the_store_message(
+            self, tmp_path, flag, value, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "matopiba", "--days", "0.02", "--store", str(tmp_path / "wal"),
+                  flag, value], out=io.StringIO())
+        assert str(excinfo.value).startswith(message)
+
+
+class TestArtifactWriteFailures:
+    @pytest.mark.parametrize("flag,message", [
+        ("--metrics", "cannot write metrics snapshot to"),
+        ("--trace", "cannot write trace to"),
+    ])
+    def test_unwritable_artifact_path_exits(self, tmp_path, flag, message):
+        path = str(tmp_path / "missing-dir" / "out.json")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "guaspari", "--days", "0.1", flag, path], out=io.StringIO())
+        assert str(excinfo.value).startswith(f"{message} {path!r}")

@@ -28,7 +28,8 @@ import tempfile
 if __name__ == "__main__":  # allow `python examples/trace_smoke.py`
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.api import RunOptions, run, validate_chrome_trace, validate_span_trees
+from repro.api import (RunOptions, TraceConfig, run, validate_chrome_trace,
+                       validate_span_trees)
 
 PILOT_KWARGS = {"rows": 2, "cols": 2, "season_days": 3}
 
@@ -37,7 +38,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.json")
         traced = run(RunOptions(
-            pilot="matopiba", seed=5, trace=True, trace_path=trace_path,
+            pilot="matopiba", seed=5, tracing=TraceConfig(), trace_path=trace_path,
             profile=True, pilot_kwargs=dict(PILOT_KWARGS),
         ))
         with open(trace_path, "r", encoding="utf-8") as fh:

@@ -18,43 +18,27 @@ the season report; ``compare`` runs the smart scheduler against the
 fixed-calendar baseline on the same field and weather and prints the
 business case (water, energy, money).
 
-Both subcommands share one options block built from
-:class:`repro.core.run.RunOptions` — every knob the programmatic
-entrypoint accepts has exactly one flag here, and both paths execute
-through :func:`repro.core.run.run`.
+``run``, ``compare`` and ``serve`` take their run flags from one table,
+:data:`RUN_FLAGS`, whose rows each name the
+:class:`repro.core.run.RunOptions` field they set: the parsers and the
+args → options mapping are both built from it, and every run executes
+through :func:`repro.core.run.run`, which parses the security and
+fault-plan specs and rejects unsupported mode mixes.
 """
 
 import argparse
 import dataclasses
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analytics.economics import Tariffs, deployment_benefit_eur, price_season
 from repro.core.pilot import PilotReport
 from repro.core.pilots import PILOT_BUILDERS
 from repro.core.checkpoint import CheckpointError
-from repro.core.run import SECURITY_FLAGS, RunOptions, run
-from repro.core.security_profile import SecurityConfig
-from repro.faults.plan import FaultPlan, FaultPlanError
+from repro.core.run import SECURITY_FLAGS, RunOptions, RunOptionsError, run
+from repro.faults.plan import FaultPlanError
 from repro.resilience import ResilienceConfig
 from repro.store.segment import StoreError
-
-#: Flag defaults come from the options object, so the two cannot drift.
-_RUN_DEFAULTS = RunOptions()
-
-#: Subcommand-specific flags (argparse dest → RunOptions field); a
-#: subcommand without the flag leaves the field at its default.
-_SUBCOMMAND_FLAGS = {
-    "checkpoint": "checkpoint",
-    "checkpoint_every": "checkpoint_every_s",
-    "restore": "restore",
-    "store": "store_dir",
-    "store_flush": "store_flush_s",
-    "store_segment_bytes": "store_segment_bytes",
-    "store_compact": "store_compact_s",
-    "store_retention_age": "store_retention_age_s",
-    "store_retention_bytes": "store_retention_bytes",
-}
 
 # Pilot-specific factory kwargs applied by ``compare``: the full-size
 # MATOPIBA grid at the default probe cadence is too slow for a paired
@@ -64,61 +48,135 @@ COMPARE_PRESETS = {
 }
 
 
-def _parse_security(spec: Optional[str]) -> SecurityConfig:
-    # Delegates to the API-level parser; the CLI's contract is the
-    # SystemExit (same message) rather than ValueError.
-    from repro.core.run import parse_security_spec
+class RunFlag(NamedTuple):
+    """One command-line flag that sets one :class:`RunOptions` field.
 
-    try:
-        return parse_security_spec(spec)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    Without a ``default`` in ``kwargs`` the flag's default is the field's
+    ``RunOptions()`` default.  ``convert`` maps a flag whose value is not
+    the field's own (a switch, a count) onto the field.
+    """
 
+    flag: str
+    field: str
+    kwargs: Dict[str, Any]
+    commands: Tuple[str, ...] = ("run", "compare", "serve")
+    convert: Optional[Callable[[Any], Any]] = None
 
-def _load_fault_plan(path: Optional[str]) -> Optional[FaultPlan]:
-    if not path:
-        return None
-    try:
-        return FaultPlan.load(path)
-    except OSError as exc:
-        raise SystemExit(f"cannot read fault plan {path!r}: {exc}")
-    except FaultPlanError as exc:
-        raise SystemExit(f"invalid fault plan {path!r}: {exc}")
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
 
 
-def _options_from_args(
-    args, scheduler_kind: Optional[str] = None, pilot_kwargs: Optional[dict] = None
-) -> RunOptions:
-    """Map the shared CLI options block onto one :class:`RunOptions`."""
-    return RunOptions(
-        pilot=args.pilot,
-        seed=args.seed,
-        days=args.days,
-        security=_parse_security(args.security),
-        faults=_load_fault_plan(args.faults),
-        resilience=ResilienceConfig() if args.resilience else None,
-        trace=args.trace is not None,
-        profile=args.profile_top is not None,
-        profile_top=args.profile_top if args.profile_top is not None else 10,
-        metrics_path=args.metrics,
-        trace_path=args.trace,
-        scheduler_kind=scheduler_kind,
-        pilot_kwargs=dict(pilot_kwargs or {}),
-        **{field: getattr(args, dest)
-           for dest, field in _SUBCOMMAND_FLAGS.items() if hasattr(args, dest)},
-    )
+#: Every run flag of ``run``, ``compare`` and ``serve``: the parsers and
+#: the args → :class:`RunOptions` mapping are both built from this table.
+RUN_FLAGS = (
+    RunFlag("pilot", "pilot", dict(nargs="?", choices=sorted(PILOT_BUILDERS)),
+            commands=("run", "serve")),
+    RunFlag("pilot", "pilot", dict(choices=sorted(PILOT_BUILDERS)),
+            commands=("compare",)),
+    RunFlag("--seed", "seed", dict(type=int)),
+    RunFlag("--days", "days", dict(type=float, help="truncate the season to N days")),
+    RunFlag("--security", "security",
+            dict(help=f"comma list of {','.join(SECURITY_FLAGS)}")),
+    RunFlag("--metrics", "metrics_path",
+            dict(metavar="PATH", help="write a JSON metrics snapshot to PATH")),
+    RunFlag("--faults", "faults",
+            dict(metavar="PATH", help="run under the fault plan in this JSON file")),
+    RunFlag("--resilience", "resilience",
+            dict(action="store_true",
+                 help="enable the supervision/backpressure/degraded-mode layer"),
+            convert=lambda on: ResilienceConfig() if on else None),
+    RunFlag("--trace", "trace_path",
+            dict(metavar="PATH",
+                 help="trace the run and export Chrome-trace JSON to PATH")),
+    RunFlag("--profile-top", "profile",
+            dict(type=int, default=None, metavar="K",
+                 help="profile the kernel and print the K hottest event keys"),
+            convert=lambda top: top is not None),
+    RunFlag("--checkpoint", "checkpoint",
+            dict(metavar="PATH",
+                 help="write a restorable checkpoint to PATH during the run"),
+            commands=("run",)),
+    RunFlag("--checkpoint-every", "checkpoint_every_s",
+            dict(type=float, metavar="SECS",
+                 help="checkpoint every SECS sim-seconds (default: once at mid-run)"),
+            commands=("run",)),
+    RunFlag("--restore", "restore",
+            dict(metavar="PATH",
+                 help="resume the run checkpointed at PATH (ignores the pilot/build flags)"),
+            commands=("run",)),
+    RunFlag("--responses", "serve_responses",
+            dict(metavar="PATH", help="write the canonical response log to PATH"),
+            commands=("serve",)),
+    RunFlag("--store", "store_dir",
+            dict(metavar="DIR",
+                 help="write history through a durable segment store "
+                      "under DIR (crash-recoverable)"),
+            commands=("run", "serve")),
+    RunFlag("--store-flush", "store_flush_s",
+            dict(type=float, metavar="SECS",
+                 help="fsync-barrier interval of the durable store "
+                      "in sim-seconds (default %(default)g)"),
+            commands=("run", "serve")),
+    RunFlag("--store-segment-bytes", "store_segment_bytes",
+            dict(type=int, metavar="N",
+                 help="WAL segment rotation threshold in bytes (default %(default)d)"),
+            commands=("run", "serve")),
+    RunFlag("--store-compact", "store_compact_s",
+            dict(type=float, metavar="SECS",
+                 help="compact sealed WAL segments into columnar "
+                      "chunks every SECS sim-seconds (default: off)"),
+            commands=("run", "serve")),
+    RunFlag("--store-retention-age", "store_retention_age_s",
+            dict(type=float, metavar="SECS",
+                 help="drop columnar chunks whose newest sample is "
+                      "older than SECS sim-seconds (implies compaction)"),
+            commands=("run", "serve")),
+    RunFlag("--store-retention-bytes", "store_retention_bytes",
+            dict(type=int, metavar="N",
+                 help="cap retained columnar bytes per tenant at N "
+                      "(oldest chunks dropped first; implies compaction)"),
+            commands=("run", "serve")),
+)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    defaults = RunOptions()
+    for row in RUN_FLAGS:
+        if command in row.commands:
+            kwargs = dict(row.kwargs)
+            if row.convert is None:
+                kwargs.setdefault("default", getattr(defaults, row.field))
+            parser.add_argument(row.flag, **kwargs)
+
+
+def _options_from_args(args, **overrides: Any) -> RunOptions:
+    """Map the run flags of ``args.command`` onto one :class:`RunOptions`."""
+    values = {}
+    for row in RUN_FLAGS:
+        if args.command in row.commands:
+            value = getattr(args, row.dest)
+            values[row.field] = row.convert(value) if row.convert else value
+    values.update(overrides)
+    return RunOptions(**values)
 
 
 def _run(options: RunOptions):
     """:func:`run`, with its expected failures turned into ``SystemExit``."""
     try:
         return run(options)
-    except (CheckpointError, StoreError) as exc:
+    except (RunOptionsError, CheckpointError, StoreError) as exc:
         raise SystemExit(str(exc))
+    except FaultPlanError as exc:
+        raise SystemExit(f"invalid fault plan {options.faults!r}: {exc}")
     except OSError as exc:
-        if exc.filename is not None and exc.filename == options.trace_path:
+        if exc.filename is None:
+            raise
+        if exc.filename == options.faults:
+            raise SystemExit(f"cannot read fault plan {options.faults!r}: {exc}")
+        if exc.filename == options.trace_path:
             raise SystemExit(f"cannot write trace to {options.trace_path!r}: {exc}")
-        if exc.filename is not None and exc.filename == options.metrics_path:
+        if exc.filename == options.metrics_path:
             raise SystemExit(
                 f"cannot write metrics snapshot to {options.metrics_path!r}: {exc}"
             )
@@ -199,8 +257,6 @@ def _print_run_artifacts(args, runner, out) -> None:
 
 
 def cmd_run(args, out) -> int:
-    if args.checkpoint is not None and args.restore is not None:
-        raise SystemExit("--checkpoint and --restore are mutually exclusive")
     options = _options_from_args(args)
     result = _run(options)
     runner = result.runner
@@ -212,9 +268,8 @@ def cmd_run(args, out) -> int:
     _print_metrics_summary(runner, out)
     if runner.fault_injector is not None:
         injector = runner.fault_injector
-        fault_plan = options.faults
         print(
-            f"faults: plan {fault_plan.name!r}, "
+            f"faults: plan {runner.config.fault_plan.name!r}, "
             f"{injector.injected} injected, {injector.recovered} recovered, "
             f"{injector.active_count} still active",
             file=out,
@@ -246,7 +301,8 @@ def cmd_compare(args, out) -> int:
     preset = COMPARE_PRESETS.get(args.pilot, {})
     results = {}
     for kind in ("smart", "fixed"):
-        options = _options_from_args(args, scheduler_kind=kind, pilot_kwargs=preset)
+        options = _options_from_args(
+            args, pilot_kwargs={**preset, "scheduler_kind": kind})
         if kind != "smart":
             # Only the smart arm writes the trace/metrics files.
             options = dataclasses.replace(options, trace_path=None, metrics_path=None)
@@ -278,7 +334,6 @@ def cmd_serve(args, out) -> int:
     """Replay (or synthesize) a request trace against a running pilot."""
     from repro.service.loadgen import RequestTrace, standard_trace
 
-    options = _options_from_args(args)
     if args.requests:
         try:
             trace = RequestTrace.load(args.requests)
@@ -305,9 +360,7 @@ def cmd_serve(args, out) -> int:
         trace.save(args.record)
         print(f"request trace written to {args.record} "
               f"({len(trace.requests)} requests)", file=out)
-    options.serve_trace = trace
-    options.serve_responses = args.responses
-    result = _run(options)
+    result = _run(_options_from_args(args, serve_trace=trace))
     service = result.service
     report = service.report()
     print(f"--- service: {trace.name} ({len(trace.requests)} requests, "
@@ -384,60 +437,6 @@ def cmd_fleet(args, out) -> int:
     return 0
 
 
-def _options_parent() -> argparse.ArgumentParser:
-    """The options block shared by ``run`` and ``compare``.
-
-    One flag per :class:`RunOptions` knob, so the subcommands cannot
-    drift apart — new run options land in both by construction.
-    """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--days", type=float, default=None,
-                        help="truncate the season to N days")
-    common.add_argument("--security", default="",
-                        help=f"comma list of {','.join(SECURITY_FLAGS)}")
-    common.add_argument("--metrics", default=None, metavar="PATH",
-                        help="write a JSON metrics snapshot to PATH")
-    common.add_argument("--faults", default=None, metavar="PATH",
-                        help="run under the fault plan in this JSON file")
-    common.add_argument("--resilience", action="store_true",
-                        help="enable the supervision/backpressure/degraded-mode layer")
-    common.add_argument("--trace", default=None, metavar="PATH",
-                        help="trace the run and export Chrome-trace JSON to PATH")
-    common.add_argument("--profile-top", dest="profile_top", type=int, default=None,
-                        metavar="K",
-                        help="profile the kernel and print the K hottest event keys")
-    return common
-
-
-def _add_store_flags(parser: argparse.ArgumentParser) -> None:
-    """Durable-store flags shared by ``run`` and ``serve``."""
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="write history through a durable segment store "
-                             "under DIR (crash-recoverable)")
-    parser.add_argument("--store-flush", dest="store_flush", type=float,
-                        default=_RUN_DEFAULTS.store_flush_s, metavar="SECS",
-                        help="fsync-barrier interval of the durable store "
-                             "in sim-seconds (default %(default)g)")
-    parser.add_argument("--store-segment-bytes", dest="store_segment_bytes",
-                        type=int, default=_RUN_DEFAULTS.store_segment_bytes,
-                        metavar="N",
-                        help="WAL segment rotation threshold in bytes "
-                             "(default %(default)d)")
-    parser.add_argument("--store-compact", dest="store_compact", type=float,
-                        default=None, metavar="SECS",
-                        help="compact sealed WAL segments into columnar "
-                             "chunks every SECS sim-seconds (default: off)")
-    parser.add_argument("--store-retention-age", dest="store_retention_age",
-                        type=float, default=None, metavar="SECS",
-                        help="drop columnar chunks whose newest sample is "
-                             "older than SECS sim-seconds (implies compaction)")
-    parser.add_argument("--store-retention-bytes", dest="store_retention_bytes",
-                        type=int, default=None, metavar="N",
-                        help="cap retained columnar bytes per tenant at N "
-                             "(oldest chunks dropped first; implies compaction)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli", description="SWAMP platform pilot runner"
@@ -446,43 +445,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available pilots")
 
-    common = _options_parent()
-    run_parser = sub.add_parser("run", parents=[common],
-                                help="run one pilot season")
-    run_parser.add_argument("pilot", nargs="?", default="matopiba",
-                            choices=sorted(PILOT_BUILDERS))
-    run_parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                            help="write a restorable checkpoint to PATH during the run")
-    run_parser.add_argument("--checkpoint-every", dest="checkpoint_every",
-                            type=float, default=None, metavar="SECS",
-                            help="checkpoint every SECS sim-seconds "
-                                 "(default: once at mid-run)")
-    run_parser.add_argument("--restore", default=None, metavar="PATH",
-                            help="resume the run checkpointed at PATH "
-                                 "(ignores the pilot/build flags)")
-    _add_store_flags(run_parser)
+    run_parser = sub.add_parser("run", help="run one pilot season")
+    _add_run_flags(run_parser, "run")
 
-    compare_parser = sub.add_parser("compare", parents=[common],
+    compare_parser = sub.add_parser("compare",
                                     help="smart vs fixed-calendar business case")
-    compare_parser.add_argument("pilot", choices=sorted(PILOT_BUILDERS))
+    _add_run_flags(compare_parser, "compare")
 
     serve_parser = sub.add_parser(
-        "serve", parents=[common],
-        help="replay a multi-tenant request trace against a running pilot")
-    serve_parser.add_argument("pilot", nargs="?", default="matopiba",
-                              choices=sorted(PILOT_BUILDERS))
+        "serve", help="replay a multi-tenant request trace against a running pilot")
+    _add_run_flags(serve_parser, "serve")
     serve_parser.add_argument("--requests", default=None, metavar="PATH",
                               help="request-trace JSON to replay "
                                    "(default: synthesize the standard workload)")
     serve_parser.add_argument("--record", default=None, metavar="PATH",
                               help="save the (synthesized or loaded) trace to PATH")
-    serve_parser.add_argument("--responses", default=None, metavar="PATH",
-                              help="write the canonical response log to PATH")
     serve_parser.add_argument("--serve-duration", dest="serve_duration",
                               type=float, default=600.0, metavar="SECS",
                               help="synthesized trace length in sim-seconds "
                                    "(default 600)")
-    _add_store_flags(serve_parser)
 
     fleet_parser = sub.add_parser("fleet", help="run a sharded multi-farm fleet")
     fleet_parser.add_argument("--farms", default="matopiba:2", metavar="SPEC",

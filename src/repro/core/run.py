@@ -28,18 +28,23 @@ from repro.core.security_profile import SecurityConfig
 from repro.simkernel.clock import DAY
 from repro.faults.plan import FaultPlan
 from repro.resilience import ResilienceConfig
+from repro.simkernel.errors import ReproError
 from repro.telemetry.tracing import TraceConfig
 
-__all__ = ["RunOptions", "RunResult", "parse_security_spec", "run"]
+__all__ = ["RunOptions", "RunOptionsError", "RunResult", "parse_security_spec", "run"]
 
 SECURITY_FLAGS = ("auth", "encryption", "detection", "ledger", "command_rhythm")
+
+
+class RunOptionsError(ReproError, ValueError):
+    """A :class:`RunOptions` value or mix of modes that no run supports."""
 
 
 def parse_security_spec(spec: Optional[str]) -> SecurityConfig:
     """Parse a comma-separated flag list (``"auth,encryption"``).
 
-    Raises :class:`ValueError` on unknown flags; the CLI converts that to
-    a ``SystemExit`` with the same message.
+    Raises :class:`RunOptionsError` on unknown flags; the CLI converts
+    that to a ``SystemExit`` with the same message.
     """
     config = SecurityConfig()
     if not spec:
@@ -49,7 +54,7 @@ def parse_security_spec(spec: Optional[str]) -> SecurityConfig:
         if not flag:
             continue
         if flag not in SECURITY_FLAGS:
-            raise ValueError(
+            raise RunOptionsError(
                 f"unknown security flag {flag!r}; choose from {', '.join(SECURITY_FLAGS)}"
             )
         setattr(config, flag, True)
@@ -72,6 +77,8 @@ class RunOptions:
 
     ``chaos=True`` switches to the seeded chaos harness
     (:func:`repro.faults.chaos.run_chaos`) instead of a plain season.
+    :func:`run` resolves the spec strings and rejects unsupported mode
+    mixes with :class:`RunOptionsError`.
     """
 
     pilot: str = "matopiba"
@@ -83,27 +90,19 @@ class RunOptions:
     security: Union[SecurityConfig, str, None] = None
     # FaultPlan, a path to a fault-plan JSON file, or None.
     faults: Union[FaultPlan, str, None] = None
-    # ResilienceConfig, True (defaults), or None/False (off).
-    resilience: Union[ResilienceConfig, bool, None] = None
-    metrics: bool = True
+    resilience: Optional[ResilienceConfig] = None
     metrics_path: Optional[str] = None
-    # Tracing: ``trace=True`` (or a trace_path) enables span collection;
-    # the exported Chrome-trace JSON is written to ``trace_path``.
-    trace: bool = False
+    # Span collection, as PilotConfig.tracing; the exported Chrome-trace
+    # JSON is written to ``trace_path``, which alone implies TraceConfig().
+    tracing: Optional[TraceConfig] = None
     trace_path: Optional[str] = None
-    trace_sample_rate: float = 1.0
-    trace_max_spans: int = 200_000
-    trace_log_sample_rate: float = 1.0
-    # Kernel profiling (top-K hottest event keys; ``profile.*`` metrics).
+    # Kernel profiling (``profile.*`` metrics, runner.profiler).
     profile: bool = False
-    profile_top: int = 10
-    # Builder-path extras: scheduler policy arm and any pilot-specific
-    # factory kwargs (e.g. matopiba's rows/cols/probe_interval_s).
-    scheduler_kind: Optional[str] = None
+    # Pilot-specific factory kwargs (e.g. matopiba's rows/cols/
+    # probe_interval_s, or the scheduler_kind arm of a comparison).
     pilot_kwargs: Dict[str, Any] = dataclass_field(default_factory=dict)
     # Chaos mode (see repro.faults.chaos).
     chaos: bool = False
-    chaos_supervised: bool = True
     # Checkpoint/restore (see repro.core.checkpoint).  ``checkpoint``
     # writes a restorable checkpoint file during the run (every
     # ``checkpoint_every_s`` sim-seconds, or once at mid-run); ``restore``
@@ -130,15 +129,6 @@ class RunOptions:
     store_retention_age_s: Optional[float] = None
     store_retention_bytes: Optional[int] = None
 
-    def trace_config(self) -> Optional[TraceConfig]:
-        if not (self.trace or self.trace_path):
-            return None
-        return TraceConfig(
-            sample_rate=self.trace_sample_rate,
-            max_spans=self.trace_max_spans,
-            log_sample_rate=self.trace_log_sample_rate,
-        )
-
     def resolved_security(self) -> Optional[SecurityConfig]:
         if isinstance(self.security, str):
             return parse_security_spec(self.security)
@@ -158,12 +148,32 @@ class RunOptions:
             return RequestTrace.load(self.serve_trace)
         return self.serve_trace
 
-    def resolved_resilience(self) -> Optional[ResilienceConfig]:
-        if self.resilience is True:
-            return ResilienceConfig()
-        if self.resilience is False:
-            return None
-        return self.resilience
+
+def _check_modes(options: RunOptions) -> None:
+    """Raise :class:`RunOptionsError` for a mix of modes no run supports.
+
+    The chaos harness owns its run loop, and a checkpoint or restore
+    rebuilds the runner from a recipe that holds neither the service
+    pump nor the store's flush pump.
+    """
+    rebuilds = options.chaos or options.checkpoint is not None or options.restore is not None
+    if options.checkpoint is not None and options.restore is not None:
+        raise RunOptionsError("checkpoint and restore are mutually exclusive")
+    if options.checkpoint is not None and options.chaos:
+        raise RunOptionsError(
+            "checkpointing is not supported in chaos mode (the chaos "
+            "harness owns the run loop)"
+        )
+    if options.serve_trace is not None and rebuilds:
+        raise RunOptionsError(
+            "serve_trace is not supported with chaos, checkpoint or restore "
+            "(the service pump is not part of the rebuild recipe)"
+        )
+    if options.store_dir is not None and rebuilds:
+        raise RunOptionsError(
+            "store_dir is not supported with chaos, checkpoint or restore "
+            "(the store's flush pump is not part of the rebuild recipe)"
+        )
 
 
 @dataclass
@@ -181,23 +191,12 @@ class RunResult:
 
 
 def run(options: RunOptions) -> RunResult:
-    """Build, run and post-process one run per ``options``."""
-    tracing = options.trace_config()
+    """Validate, build, run and post-process one run per ``options``."""
+    _check_modes(options)
+    security = options.resolved_security()
+    faults = options.resolved_faults()
     serve_trace = options.resolved_serve_trace()
-    if serve_trace is not None and (
-        options.chaos or options.checkpoint is not None or options.restore is not None
-    ):
-        raise ValueError(
-            "serve_trace is not supported with chaos, checkpoint or restore "
-            "(the service pump is not part of the rebuild recipe)"
-        )
-    if options.store_dir is not None and (
-        options.chaos or options.checkpoint is not None or options.restore is not None
-    ):
-        raise ValueError(
-            "store_dir is not supported with chaos, checkpoint or restore "
-            "(the store's flush pump is not part of the rebuild recipe)"
-        )
+    tracing = options.tracing or (TraceConfig() if options.trace_path else None)
 
     if options.restore is not None:
         from repro.core import checkpoint as _checkpoint
@@ -207,22 +206,11 @@ def run(options: RunOptions) -> RunResult:
         _write_outputs(options, restored.runner)
         return RunResult(report=report, runner=restored.runner)
 
-    if options.checkpoint is not None and options.chaos:
-        raise ValueError(
-            "checkpointing is not supported in chaos mode (the chaos "
-            "harness owns the run loop)"
-        )
-
     if options.chaos:
         from repro.faults.chaos import run_chaos as _run_chaos
 
-        result = _run_chaos(
-            options.seed,
-            supervised=options.chaos_supervised,
-            plan=options.resolved_faults(),
-            tracing=tracing,
-            profile=options.profile,
-        )
+        result = _run_chaos(options.seed, plan=faults, tracing=tracing,
+                            profile=options.profile)
         _write_outputs(options, result.runner)
         return RunResult(report=result.report, runner=result.runner, chaos=result)
 
@@ -248,19 +236,17 @@ def run(options: RunOptions) -> RunResult:
 
         builder = PILOT_BUILDERS.get(options.pilot)
         if builder is None:
-            raise ValueError(
+            raise RunOptionsError(
                 f"unknown pilot {options.pilot!r}; choose from {sorted(PILOT_BUILDERS)}"
             )
         kwargs: Dict[str, Any] = {
             "seed": options.seed,
-            "security": options.resolved_security(),
-            "fault_plan": options.resolved_faults(),
-            "resilience": options.resolved_resilience(),
+            "security": security,
+            "fault_plan": faults,
+            "resilience": options.resilience,
             "tracing": tracing,
             "profile": options.profile,
         }
-        if options.scheduler_kind is not None:
-            kwargs["scheduler_kind"] = options.scheduler_kind
         kwargs.update(options.pilot_kwargs)
         runner = builder(**kwargs)
         if options.checkpoint is not None:

@@ -14,12 +14,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import checkpoint as cp
 from repro.core.pilot import PilotConfig, PilotRunner
 from repro.core.pilots import PILOT_BUILDERS
-from repro.core.run import RunOptions, run
+from repro.core.run import RunOptions, RunOptionsError, run
 from repro.simkernel.clock import DAY
+from repro.store.segment import write_sealed
 
 from tests.test_pilot_pinned import FIXTURES, PINNED
 
@@ -132,8 +135,22 @@ class TestSnapshotRestore:
         import pickle
 
         path = tmp_path / "junk.ck"
-        path.write_bytes(pickle.dumps({"not": "a checkpoint"}))
+        write_sealed(str(path), pickle.dumps({"not": "a checkpoint"}))
         with pytest.raises(cp.CheckpointError, match="RunCheckpoint"):
+            cp.load_checkpoint(str(path))
+
+    def test_load_rejects_sealed_blob_that_is_not_a_pickle(self, tmp_path):
+        # e.g. a columnar store's meta blob passed where a checkpoint belongs
+        path = tmp_path / "meta.ck"
+        write_sealed(str(path), b'{"chunks": []}')
+        with pytest.raises(cp.CheckpointError, match="RunCheckpoint"):
+            cp.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("blob", [b"", b"\x80\x04", b"not a checkpoint at all"])
+    def test_unsealed_file_is_rejected_without_unpickling(self, tmp_path, blob):
+        path = tmp_path / "raw.ck"
+        path.write_bytes(blob)
+        with pytest.raises(cp.CheckpointError, match="not a sealed blob"):
             cp.load_checkpoint(str(path))
 
     def test_saved_checkpoints_are_sealed_blobs(self, tmp_path):
@@ -180,6 +197,57 @@ class TestSnapshotRestore:
             cp.load_checkpoint(str(path))
 
 
+@pytest.fixture(scope="module")
+def sealed_checkpoint(tmp_path_factory):
+    """A real checkpoint's bytes, and a scratch file to write mutants to."""
+    runner = PILOT_BUILDERS["matopiba"](**TINY_MATOPIBA)
+    runner.run_until(DAY)
+    path = tmp_path_factory.mktemp("loader") / "real.ck"
+    cp.save_checkpoint(cp.snapshot(
+        runner, recipe=cp.RunRecipe(pilot="matopiba", builder_kwargs=TINY_MATOPIBA),
+    ), str(path))
+    return path.read_bytes(), path.with_name("mutant.ck")
+
+
+def _load_fails_typed(path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    with pytest.raises(cp.CheckpointError):
+        cp.load_checkpoint(str(path))
+
+
+class TestLoaderProperty:
+    """Random bytes, truncations and bit flips of a real checkpoint reach
+    the caller only as :class:`CheckpointError`, never as an unpickling
+    failure or a partially restored run."""
+
+    @given(st.binary(max_size=512))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bytes(self, sealed_checkpoint, blob):
+        _load_fails_typed(sealed_checkpoint[1], blob)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truncations(self, sealed_checkpoint, data):
+        blob, path = sealed_checkpoint
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        _load_fails_typed(path, blob[:cut])
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_single_bit_flips(self, sealed_checkpoint, data):
+        blob, path = sealed_checkpoint
+        index = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        bit = data.draw(st.integers(min_value=0, max_value=7))
+        flipped = bytearray(blob)
+        flipped[index] ^= 1 << bit
+        _load_fails_typed(path, bytes(flipped))
+
+    def test_unmutated_checkpoint_loads(self, sealed_checkpoint):
+        blob, path = sealed_checkpoint
+        path.write_bytes(blob)
+        assert cp.load_checkpoint(str(path)).barrier_s == DAY
+
+
 class TestRunOptionsIntegration:
     def test_checkpointed_run_report_matches_plain_run(self, tmp_path):
         plain = run(RunOptions(pilot="matopiba", seed=3,
@@ -218,6 +286,11 @@ class TestRunOptionsIntegration:
     def test_checkpoint_rejected_in_chaos_mode(self, tmp_path):
         with pytest.raises(ValueError, match="chaos"):
             run(RunOptions(chaos=True, checkpoint=str(tmp_path / "x.ck")))
+
+    def test_checkpoint_with_restore_rejected(self, tmp_path):
+        with pytest.raises(RunOptionsError, match="mutually exclusive"):
+            run(RunOptions(checkpoint=str(tmp_path / "a.ck"),
+                           restore=str(tmp_path / "b.ck")))
 
     def test_nonpositive_interval_rejected(self, tmp_path):
         with pytest.raises(cp.CheckpointError, match="positive"):

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
-from repro.cli import _parse_security, build_parser, main
+from repro.cli import RUN_FLAGS, _options_from_args, build_parser, main
+from repro.core.run import RunOptions, parse_security_spec
 
 
 class TestParser:
@@ -24,16 +26,46 @@ class TestParser:
             build_parser().parse_args(["run", "atlantis"])
 
     def test_security_parsing(self):
-        config = _parse_security("auth,encryption")
+        config = parse_security_spec("auth,encryption")
         assert config.auth and config.encryption and not config.detection
 
     def test_security_empty(self):
-        config = _parse_security("")
+        config = parse_security_spec("")
         assert not config.auth
 
     def test_security_unknown_flag(self):
-        with pytest.raises(SystemExit):
-            _parse_security("auth,teleportation")
+        with pytest.raises(SystemExit, match="unknown security flag 'teleportation'"):
+            main(["run", "matopiba", "--days", "0.1", "--security", "auth,teleportation"],
+                 out=io.StringIO())
+
+
+#: RunOptions fields that only the programmatic entrypoint sets: an
+#: explicit config, a tracing config beyond --trace's default, factory
+#: kwargs, chaos mode, and the request trace that ``serve`` builds from
+#: its own --requests/--serve-duration inputs.
+API_ONLY_FIELDS = {"config", "tracing", "pilot_kwargs", "chaos", "serve_trace"}
+
+
+class TestFlagTable:
+    """The flag table and RunOptions cannot drift apart."""
+
+    def test_every_row_names_a_run_options_field(self):
+        fields = {f.name for f in dataclasses.fields(RunOptions)}
+        assert {row.field for row in RUN_FLAGS} <= fields
+
+    def test_every_field_has_a_flag_or_is_api_only(self):
+        fields = {f.name for f in dataclasses.fields(RunOptions)}
+        flagged = {row.field for row in RUN_FLAGS}
+        assert flagged | API_ONLY_FIELDS == fields
+        assert not flagged & API_ONLY_FIELDS
+
+    @pytest.mark.parametrize("argv", [["run"], ["compare", "matopiba"], ["serve"]])
+    def test_flag_defaults_equal_run_options_defaults(self, argv):
+        options = _options_from_args(build_parser().parse_args(argv))
+        defaults = RunOptions()
+        flagged = {row.field for row in RUN_FLAGS if argv[0] in row.commands}
+        for field in flagged:
+            assert getattr(options, field) == getattr(defaults, field), field
 
 
 class TestCommands:
@@ -120,17 +152,12 @@ class TestStoreFlags:
     """Store flags reach the store unchanged; bad values exit cleanly."""
 
     def test_defaults_come_from_run_options(self):
-        from repro.cli import _options_from_args
-        from repro.core.run import RunOptions
-
         options = _options_from_args(build_parser().parse_args(["run", "matopiba"]))
         defaults = RunOptions()
         assert options.store_flush_s == defaults.store_flush_s
         assert options.store_segment_bytes == defaults.store_segment_bytes
 
     def test_zero_values_are_not_replaced(self):
-        from repro.cli import _options_from_args
-
         args = build_parser().parse_args(
             ["run", "matopiba", "--store-flush", "0", "--store-segment-bytes", "0"])
         options = _options_from_args(args)
@@ -149,6 +176,14 @@ class TestStoreFlags:
             main(["run", "matopiba", "--days", "0.02", "--store", str(tmp_path / "wal"),
                   flag, value], out=io.StringIO())
         assert str(excinfo.value).startswith(message)
+
+    @pytest.mark.parametrize("mode", ["--checkpoint", "--restore"])
+    def test_store_with_checkpoint_or_restore_exits_with_the_message(self, tmp_path, mode):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "matopiba", "--days", "0.1", mode, str(tmp_path / "x.ck"),
+                  "--store", str(tmp_path / "wal")], out=io.StringIO())
+        assert str(excinfo.value).startswith(
+            "store_dir is not supported with chaos, checkpoint or restore")
 
 
 class TestArtifactWriteFailures:

@@ -467,7 +467,7 @@ class TestOfflineReader:
 class TestRunIntegration:
     def test_run_with_compaction_reports_chunks(self, tmp_path):
         result = run(RunOptions(
-            pilot="matopiba", seed=3, days=0.25, metrics=False,
+            pilot="matopiba", seed=3, days=0.25,
             store_dir=str(tmp_path), store_flush_s=300.0,
             store_segment_bytes=4096, store_compact_s=1800.0,
         ))

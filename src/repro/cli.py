@@ -174,6 +174,8 @@ def _run(options: RunOptions):
             raise
         if exc.filename == options.faults:
             raise SystemExit(f"cannot read fault plan {options.faults!r}: {exc}")
+        if exc.filename == options.restore:
+            raise SystemExit(f"cannot read checkpoint {options.restore!r}: {exc}")
         if exc.filename == options.trace_path:
             raise SystemExit(f"cannot write trace to {options.trace_path!r}: {exc}")
         if exc.filename == options.metrics_path:

@@ -164,6 +164,11 @@ def _check_modes(options: RunOptions) -> None:
             "checkpointing is not supported in chaos mode (the chaos "
             "harness owns the run loop)"
         )
+    if options.restore is not None and options.chaos:
+        raise RunOptionsError(
+            "restore is not supported in chaos mode (the chaos harness "
+            "owns the run loop)"
+        )
     if options.serve_trace is not None and rebuilds:
         raise RunOptionsError(
             "serve_trace is not supported with chaos, checkpoint or restore "

@@ -10,8 +10,9 @@ platform actually has:
 * context-API guard used by services before broker queries/updates.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, List, Optional
 
 from repro.mqtt.broker import BrokerSession
 from repro.mqtt.packets import Connect, ConnectReturnCode
@@ -41,8 +42,7 @@ class PepProxy:
         self.sim = sim
         self.oauth = oauth
         self.pdp = pdp
-        self.audit_log: List[AuditRecord] = []
-        self.max_audit_records = max_audit_records
+        self.audit_log: Deque[AuditRecord] = deque(maxlen=max_audit_records)
         self.allowed_count = 0
         self.denied_count = 0
         # Per-request processing latency model (token check + PDP walk).
@@ -52,10 +52,17 @@ class PepProxy:
         self._m_denied = sim.metrics.counter("security.auth_checks",
                                              {"verdict": "denied"})
 
+    @property
+    def max_audit_records(self) -> int:
+        """Cap on retained audit records (oldest dropped beyond it)."""
+        return self.audit_log.maxlen
+
+    @max_audit_records.setter
+    def max_audit_records(self, cap: int) -> None:
+        self.audit_log = deque(self.audit_log, maxlen=cap)
+
     def _audit(self, principal: Optional[str], action: str, resource: str,
                allowed: bool, reason: str) -> None:
-        if len(self.audit_log) >= self.max_audit_records:
-            self.audit_log.pop(0)
         self.audit_log.append(
             AuditRecord(self.sim.now, principal, action, resource, allowed, reason)
         )

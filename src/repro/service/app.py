@@ -38,8 +38,9 @@ reported separately and never enter the log).
 
 import re
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.context.broker import ContextBroker
 from repro.context.delivery import DeliveryConfig, DeliveryManager, SimulatedEndpoint
@@ -196,7 +197,7 @@ class NgsiService:
         #: stream on the first release, so services that never serve one
         #: draw nothing.
         self.release_anonymizer: Optional[Anonymizer] = None
-        self.records: List[Dict[str, Any]] = []
+        self.records: Deque[Dict[str, Any]] = deque(maxlen=self.config.max_records)
         self._seq = 0
         self._pump = None
         self.wall_time_s = 0.0
@@ -513,8 +514,6 @@ class NgsiService:
             "cache": cache_state,
             "body": response.body,
         })
-        if len(self.records) > self.config.max_records:
-            del self.records[: len(self.records) - self.config.max_records]
         return response
 
     # -- handlers -----------------------------------------------------------

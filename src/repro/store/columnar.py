@@ -46,6 +46,8 @@ import json
 import math
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -204,8 +206,9 @@ class ChunkData:
     """One decoded chunk: the header plus unpacked columns."""
 
     header: dict
-    #: (entity_id, attr) -> (times, values), each in append order.
-    series: Dict[Tuple[str, str], Tuple[tuple, tuple]]
+    #: (entity_id, attr) -> (times, values) float64 arrays, each in
+    #: append order.
+    series: Dict[Tuple[str, str], Tuple[array, array]]
     #: Per-record series index, in global append order.
     order: tuple
     #: Series keys in first-appearance (= column) order.
@@ -222,6 +225,15 @@ class ChunkData:
             yield self.keys[idx] + (times[pos], values[pos])
 
 
+def _float64_column(raw: memoryview) -> array:
+    """A little-endian float64 column as a native ``array('d')``."""
+    column = array("d")
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
 def decode_chunk(payload: bytes) -> ChunkData:
     header, offset = _header_and_offset(payload)
     expected = (offset
@@ -232,13 +244,14 @@ def decode_chunk(payload: bytes) -> ChunkData:
             f"chunk payload length mismatch: header promises {expected} "
             f"bytes, got {len(payload)}"
         )
-    series: Dict[Tuple[str, str], Tuple[tuple, tuple]] = {}
+    series: Dict[Tuple[str, str], Tuple[array, array]] = {}
     keys: List[Tuple[str, str]] = []
+    view = memoryview(payload)
     for entry in header["series"]:
         count = entry["count"]
-        times = struct.unpack_from(f"<{count}d", payload, offset)
+        times = _float64_column(view[offset:offset + 8 * count])
         offset += 8 * count
-        values = struct.unpack_from(f"<{count}d", payload, offset)
+        values = _float64_column(view[offset:offset + 8 * count])
         offset += 8 * count
         key = (entry["entity"], entry["attr"])
         series[key] = (times, values)
@@ -685,39 +698,116 @@ class CompactionService:
 # -- the streaming read path -------------------------------------------------
 
 
+class _CachedChunk:
+    """A chunk as the reader knows it: the header it was indexed under,
+    its series directory by key, and its columns once decoded."""
+
+    __slots__ = ("header", "entries", "data")
+
+    def __init__(self, header: dict) -> None:
+        self.header = header
+        self.entries = {(entry["entity"], entry["attr"]): entry
+                        for entry in header["series"]}
+        self.data: Optional[ChunkData] = None
+
+
+@dataclass
+class _ScannedSegment:
+    """A WAL segment's verified byte prefix and the samples in it."""
+
+    prefix: bytes
+    #: (entity_id, attr) -> [(t, v)] in append order.
+    series: Dict[Tuple[str, str], List[Tuple[float, float]]]
+
+
 class ColumnarReader:
     """Answers :class:`HistoryQuery` reads from chunks + the WAL tail.
 
     Chunks hold the old, compacted majority of every series; the WAL's
     resident records are the fresh tail.  Reads stream chunk-by-chunk in
-    append order — memory stays bounded by the answer plus one decoded
-    chunk — and the zone maps prune whole blocks (and whole chunks, via
-    the cached headers, without touching the file) that cannot
-    intersect the query window.  Zone maps are never used to *answer*
-    anything: every surviving sample is re-folded left-to-right in
-    append order, which is what keeps results bit-identical to the
+    append order, and the zone maps prune whole blocks (and whole
+    chunks, via the cached headers, without touching the file) that
+    cannot intersect the query window.  Zone maps are never used to
+    *answer* anything: every surviving sample is re-folded left-to-right
+    in append order, which is what keeps results bit-identical to the
     in-memory path.
+
+    The reader decodes each byte on disk at most once.  A chunk's
+    columns are decoded on first use and kept until its index leaves
+    the :class:`ColumnarStore` (retention drop, :func:`reconcile`).
+    For each WAL segment the reader keeps the verified byte prefix it
+    has scanned and that prefix's samples per series; a read scans only
+    the bytes past the prefix, and rescans the segment from the start
+    when its bytes no longer begin with the prefix (a crash truncated
+    it, or it was rewritten).  Disk stays the truth, as for
+    :meth:`SegmentStore.read_all`.  Memory is the decoded retained
+    chunks plus the resident WAL samples — bounded by retention and by
+    compaction — plus the answer.
     """
 
     def __init__(self, columnar: ColumnarStore, store: SegmentStore) -> None:
         self.columnar = columnar
         self.store = store
+        self._chunks: Dict[int, _CachedChunk] = {}
+        self._segments: Dict[int, _ScannedSegment] = {}
 
     # -- sources -------------------------------------------------------------
 
-    def _wal_samples(self, entity_id: str, attr: str) -> List[Tuple[float, float]]:
-        rows: List[Tuple[float, float]] = []
-        for payload in self.store.read_all():
-            eid, a, t, v = decode_sample(payload)
-            if eid == entity_id and a == attr:
+    def _scan_wal(self) -> None:
+        """Bring the per-segment WAL index up to the bytes on disk."""
+        self.store.flush_buffered()
+        segments: Dict[int, _ScannedSegment] = {}
+        for index, path in segments_in(self.store.root):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            segment = self._segments.get(index)
+            if segment is not None and segment.prefix and data.startswith(segment.prefix):
+                result = scan_records(data, offset=len(segment.prefix))
+            else:
+                segment = _ScannedSegment(b"", {})
+                result = scan_records(data)
+            series = segment.series
+            for payload in result.payloads:
+                entity_id, attr, t, v = decode_sample(payload)
+                rows = series.get((entity_id, attr))
+                if rows is None:
+                    rows = series[(entity_id, attr)] = []
                 rows.append((t, v))
+            if result.clean_end != len(segment.prefix):
+                segment.prefix = data[:result.clean_end]
+            segments[index] = segment
+        self._segments = segments
+
+    def _wal_samples(self, entity_id: str, attr: str) -> List[Tuple[float, float]]:
+        self._scan_wal()
+        key = (entity_id, attr)
+        rows: List[Tuple[float, float]] = []
+        for segment in self._segments.values():
+            rows.extend(segment.series.get(key, ()))
         return rows
 
-    def _series_entry(self, index: int, entity_id: str, attr: str):
-        for entry in self.columnar.header(index)["series"]:
-            if entry["entity"] == entity_id and entry["attr"] == attr:
-                return entry
-        return None
+    def _chunk_index(self) -> List[Tuple[int, _CachedChunk]]:
+        """``(index, cached chunk)`` for every retained chunk, ascending.
+
+        Drops cached chunks whose index left the store, or whose header
+        was replaced (a re-sealed chunk)."""
+        headers = self.columnar._headers
+        for index in [i for i, chunk in self._chunks.items()
+                      if headers.get(i) is not chunk.header]:
+            del self._chunks[index]
+        out = []
+        for index in sorted(headers):
+            chunk = self._chunks.get(index)
+            if chunk is None:
+                chunk = self._chunks[index] = _CachedChunk(headers[index])
+            out.append((index, chunk))
+        return out
+
+    def _columns(self, index: int, chunk: _CachedChunk,
+                 key: Tuple[str, str]) -> Tuple[array, array]:
+        if chunk.data is None:
+            chunk.data = self.columnar.read_chunk(index)
+        return chunk.data.series[key]
 
     def _column_samples(self, entity_id: str, attr: str,
                         lo: float, hi: float):
@@ -728,10 +818,11 @@ class ColumnarReader:
         outside the window (block granularity) — callers filter
         per-sample.
         """
+        key = (entity_id, attr)
         rows: List[Tuple[float, float]] = []
         scanned_blocks = pruned_blocks = scanned_samples = 0
-        for index in self.columnar.chunk_indexes():
-            entry = self._series_entry(index, entity_id, attr)
+        for index, chunk in self._chunk_index():
+            entry = chunk.entries.get(key)
             if entry is None:
                 continue
             blocks = entry["blocks"]
@@ -739,8 +830,7 @@ class ColumnarReader:
                     or min(b[1] for b in blocks) > hi):
                 pruned_blocks += len(blocks)
                 continue
-            times, values = self.columnar.read_chunk(index).series[
-                (entity_id, attr)]
+            times, values = self._columns(index, chunk, key)
             pos = 0
             for block in blocks:
                 count = int(block[0])
@@ -780,20 +870,21 @@ class ColumnarReader:
 
     def _read_lastn(self, query: HistoryQuery) -> HistoryResult:
         n = query.last_n
+        key = (query.entity_id, query.attr)
         wal = self._wal_samples(query.entity_id, query.attr)
         scanned = len(wal)
         scanned_blocks = pruned_blocks = 0
         older: List[Tuple[float, float]] = []
+        chunks = self._chunk_index()
         touched = set()
         if len(wal) < n:
             # Walk chunks newest-first until enough samples are in hand;
             # everything older is pruned without being read.
-            for index in reversed(self.columnar.chunk_indexes()):
-                entry = self._series_entry(index, query.entity_id, query.attr)
+            for index, chunk in reversed(chunks):
+                entry = chunk.entries.get(key)
                 if entry is None:
                     continue
-                times, values = self.columnar.read_chunk(index).series[
-                    (query.entity_id, query.attr)]
+                times, values = self._columns(index, chunk, key)
                 older = list(zip(times, values)) + older
                 touched.add(index)
                 scanned += entry["count"]
@@ -802,10 +893,10 @@ class ColumnarReader:
                     break
         # Every chunk the walk never opened — including all of them when
         # the WAL tail alone satisfied the query — counts as pruned.
-        for index in self.columnar.chunk_indexes():
+        for index, chunk in chunks:
             if index in touched:
                 continue
-            entry = self._series_entry(index, query.entity_id, query.attr)
+            entry = chunk.entries.get(key)
             if entry is not None:
                 pruned_blocks += len(entry["blocks"])
         rows = (older + wal)[-n:]

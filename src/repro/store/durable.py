@@ -262,11 +262,17 @@ class SegmentStore:
         self._records_in_active = 0
         return payloads
 
+    def flush_buffered(self) -> None:
+        """Hand the active segment's buffered bytes to the OS (no fsync
+        barrier), so a reader opening the segment files sees every
+        appended record."""
+        if self._active is not None:
+            self._active._fh.flush()
+
     def read_all(self) -> List[bytes]:
         """Every record currently on disk (no truncation, no reopen)."""
         payloads: List[bytes] = []
-        if self._active is not None:
-            self._active._fh.flush()
+        self.flush_buffered()
         for _index, path in segments_in(self.root):
             with open(path, "rb") as fh:
                 result = scan_records(fh.read())

@@ -287,6 +287,12 @@ class TestRunOptionsIntegration:
         with pytest.raises(ValueError, match="chaos"):
             run(RunOptions(chaos=True, checkpoint=str(tmp_path / "x.ck")))
 
+    def test_restore_rejected_in_chaos_mode(self, tmp_path):
+        # Rejected before the checkpoint is read: a restore would
+        # otherwise run and silently drop the chaos harness.
+        with pytest.raises(RunOptionsError, match="chaos"):
+            run(RunOptions(chaos=True, restore=str(tmp_path / "missing.ck")))
+
     def test_checkpoint_with_restore_rejected(self, tmp_path):
         with pytest.raises(RunOptionsError, match="mutually exclusive"):
             run(RunOptions(checkpoint=str(tmp_path / "a.ck"),

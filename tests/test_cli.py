@@ -196,3 +196,9 @@ class TestArtifactWriteFailures:
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "guaspari", "--days", "0.1", flag, path], out=io.StringIO())
         assert str(excinfo.value).startswith(f"{message} {path!r}")
+
+    def test_missing_checkpoint_exits(self, tmp_path):
+        path = str(tmp_path / "missing.ck")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--restore", path], out=io.StringIO())
+        assert str(excinfo.value).startswith(f"cannot read checkpoint {path!r}")
